@@ -29,6 +29,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.core.grid import Coords, HierarchicalGrid
+from repro.core.regions import box_filtered, box_matched
 
 __all__ = ["BlockResult", "block", "quick_browse"]
 
@@ -105,11 +106,8 @@ def block(
                             skip, out)
             return out
 
-        # Lemma 6 (conservative cell-cell matching, batched).
-        matched = np.any(s_up <= tau - q_up, axis=1)
-        # Lemma 4 (cell-cell filtering, batched): disjoint from the
-        # query cell's widened square region [q_lo - τ, q_up + τ].
-        disjoint = np.any((s_arr > q_up + tau) | (s_up < q_arr - tau), axis=1)
+        matched = box_matched(s_up, q_up, tau)                 # Lemma 6
+        disjoint = box_filtered(s_arr, s_up, q_arr, q_up, tau)  # Lemma 4
         survive = ~matched & ~disjoint
 
         for i in np.flatnonzero(matched):
@@ -142,14 +140,10 @@ def _resolve_leaves(
         if not keep:
             continue
         lo, up = s_lo[keep], s_up[keep]          # (t, |P|)
-        qc = Qp[q_idx]                            # (k, |P|)
+        qc = Qp[q_idx][:, None, :]                # (k, 1, |P|)
         # filtered[k, t]: Lemma 3; matched[k, t]: Lemma 5.
-        filtered = np.any(
-            (lo[None, :, :] > qc[:, None, :] + tau)
-            | (up[None, :, :] < qc[:, None, :] - tau),
-            axis=2,
-        )
-        matched = np.any(up[None, :, :] <= tau - qc[:, None, :], axis=2)
+        filtered = box_filtered(lo, up, qc, qc, tau)
+        matched = box_matched(up, qc, tau)
         cells = [pairs_s[i] for i in keep]
         for a, qi in enumerate(q_idx.tolist()):
             mt = np.flatnonzero(matched[a])

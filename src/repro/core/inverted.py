@@ -1,11 +1,9 @@
-"""Inverted index over the leaf cells of ``HG_SV`` (§III-C).
+"""Inverted index over the leaf cells of ``HG_SV`` (§III-C), as flat arrays.
 
-Keys are leaf-cell coordinates; each postings list holds, per column
-having at least one vector in the cell, the indices of those vectors in
-the global target matrix. Postings are sorted by column id so that
-verification can proceed document-at-a-time (DaaT), with one column
-(= document) fully resolved before the next — the layout that enables
-the early-termination rules (joinability reached / Lemma 7).
+The target rows are sorted by (leaf-cell coordinates, column) with one
+``lexsort``, CSR style: leaf ``i`` owns ``rows[offsets[i]:offsets[i+1]]``,
+and within a leaf the rows are grouped by column id. A postings list in
+the paper's sense is one (leaf, column) run of that order.
 """
 from __future__ import annotations
 
@@ -17,24 +15,38 @@ __all__ = ["InvertedIndex"]
 
 
 class InvertedIndex:
-    """leaf cell → [(col_idx, vector row indices)] sorted by column."""
+    """Target rows in (leaf, column) order, with per-leaf offsets."""
 
     def __init__(self, hg: HierarchicalGrid, col_of_vector: np.ndarray) -> None:
         """``col_of_vector[i]`` is the integer column index of vector i."""
-        self.postings: dict[Coords, list[tuple[int, np.ndarray]]] = {}
-        for coords, idx in hg.leaves.items():
-            cols = col_of_vector[idx]
-            order = np.argsort(cols, kind="stable")
-            idx_sorted, cols_sorted = idx[order], cols[order]
-            cuts = np.flatnonzero(np.diff(cols_sorted)) + 1
-            groups = np.split(idx_sorted, cuts)
-            starts = np.concatenate(([0], cuts))
-            self.postings[coords] = [
-                (int(cols_sorted[s]), grp) for s, grp in zip(starts, groups)
-            ]
+        # lexsort's last key is the primary one: leaf coords, then column.
+        order = np.lexsort((col_of_vector, *hg.leaf_of_vector.T[::-1]))
+        leaf = hg.leaf_of_vector[order]
+        self.rows = order
+        self.cols = np.asarray(col_of_vector)[order]
+        new_leaf = np.ones(len(order), dtype=bool)
+        new_leaf[1:] = np.any(leaf[1:] != leaf[:-1], axis=1)
+        new_posting = new_leaf.copy()
+        new_posting[1:] |= self.cols[1:] != self.cols[:-1]
+        starts = np.flatnonzero(new_leaf)
+        self.offsets = np.append(starts, len(order))
+        self.leaf_id: dict[Coords, int] = dict(
+            zip(map(tuple, leaf[starts].tolist()), range(len(starts)))
+        )
+        #: Number of (leaf, column) postings lists in each leaf.
+        self.leaf_postings = np.add.reduceat(new_posting.astype(np.int64), starts)
 
-    def lookup(self, coords: Coords) -> list[tuple[int, np.ndarray]]:
-        return self.postings.get(coords, [])
+    def leaf_ids(self, cells: list[Coords]) -> np.ndarray:
+        """Ids of the (non-empty) leaf cells ``cells``."""
+        return np.fromiter((self.leaf_id[c] for c in cells), np.int64, len(cells))
+
+    def gather(self, ids: np.ndarray) -> np.ndarray:
+        """Positions in ``rows``/``cols`` of every row of the leaves ``ids``."""
+        starts = self.offsets[ids]
+        lens = self.offsets[ids + 1] - starts
+        # Shift each leaf's run so that the runs lie end to end.
+        shift = np.repeat(starts - np.cumsum(lens) + lens, lens)
+        return shift + np.arange(len(shift))
 
     def n_postings(self) -> int:
-        return sum(len(v) for v in self.postings.values())
+        return int(self.leaf_postings.sum())

@@ -9,6 +9,10 @@ query column: map the query, build ``HG_Q`` with the same ``m``, block
 ``use_inverted=False`` at search time turns the verifier into the
 naive cell-scan of the PEXESO-H baseline (§VI-A) — identical blocking,
 no inverted-index / per-vector pivot pruning.
+
+Both entry points reject input the engine cannot answer exactly: the
+pivot space is ``[0, 2]^{|P|}`` only for unit-norm rows, so non-unit or
+non-finite vectors raise ``ValueError`` instead of returning a wrong set.
 """
 from __future__ import annotations
 
@@ -25,15 +29,32 @@ from repro.core.pivots import pivot_map, select_pivots
 
 __all__ = ["SearchResult", "PexesoIndex", "t_abs"]
 
+#: Largest accepted |‖x‖ − 1| of an input row.
+UNIT_TOL = 1e-6
+
 
 def t_abs(T: float, n_query: int) -> int:
     """Absolute joinability threshold: T is a fraction of |Q| (§V)."""
     return max(1, math.ceil(T * n_query))
 
 
+def _check_unit_rows(name: str, A: np.ndarray) -> None:
+    # A NaN or inf entry makes its row's squared norm NaN or inf.
+    sq = np.einsum("ij,ij->i", A, A)
+    if not np.all(np.isfinite(sq)):
+        raise ValueError(f"{name} has NaN or infinite values or norms")
+    if np.any(np.abs(np.sqrt(sq) - 1.0) > UNIT_TOL):
+        raise ValueError(f"{name} rows must have unit norm (±{UNIT_TOL})")
+
+
 @dataclass
 class SearchResult:
-    """Joinable columns plus the counters behind Tables VI/VII & Fig. 7a."""
+    """Joinable columns plus the counters behind Tables VI/VII & Fig. 7a.
+
+    ``n_distance`` is the number of exact distances evaluated: for PEXESO,
+    the Lemma-1 survivors of the columns that Lemma 2 did not settle; for
+    PEXESO-H (``use_inverted=False``), every row of every candidate cell.
+    """
 
     joinable: set[int]
     match_counts: np.ndarray
@@ -62,16 +83,19 @@ class PexesoIndex:
         ``col_of_vector`` maps each row of ``X`` to its column index in
         ``[0, n_cols)``.
         """
+        col_of_vector = np.asarray(col_of_vector, dtype=np.int64)
         if len(X) != len(col_of_vector):
             raise ValueError("X and col_of_vector must align")
+        _check_unit_rows("X", X)
+        if len(X) and not 0 <= col_of_vector.min() <= col_of_vector.max() < n_cols:
+            raise ValueError(f"col_of_vector values must lie in [0, {n_cols})")
         self.X = X
-        self.col_of_vector = np.asarray(col_of_vector, dtype=np.int64)
         self.n_cols = n_cols
         self.m = m
         self.pivots = select_pivots(X, n_pivots, seed=seed)
         self.Xp = pivot_map(X, self.pivots)
         self.grid = HierarchicalGrid(self.Xp, m)
-        self.index = InvertedIndex(self.grid, self.col_of_vector)
+        self.index = InvertedIndex(self.grid, col_of_vector)
 
     # -- online ----------------------------------------------------------
     def search(
@@ -87,6 +111,13 @@ class PexesoIndex:
         """Find all columns joinable to the query column ``Q`` (Alg. 3)."""
         import time
 
+        if len(Q) == 0:
+            raise ValueError("the query column is empty")
+        _check_unit_rows("Q", Q)
+        if not tau > 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        if not 0 < T <= 1:
+            raise ValueError(f"T must lie in (0, 1], got {T}")
         t0 = time.perf_counter()
         Qp = pivot_map(Q, self.pivots)
         hg_q = HierarchicalGrid(Qp, self.m)
@@ -95,16 +126,11 @@ class PexesoIndex:
         )
         t1 = time.perf_counter()
         T_abs = t_abs(T, len(Q))
-        if use_inverted:
-            res = verifymod.verify(
-                blocks, self.index, self.X, self.Xp, Q, Qp, tau, T_abs,
-                self.n_cols, early_terminate=early_terminate,
-            )
-        else:
-            res = verifymod.verify_naive(
-                blocks, self.grid, self.col_of_vector, self.X, Q, tau,
-                T_abs, self.n_cols,
-            )
+        res = verifymod.verify(
+            blocks, self.index, self.X, self.Xp, Q, Qp, tau, T_abs,
+            self.n_cols, early_terminate=early_terminate,
+            naive=not use_inverted,
+        )
         t2 = time.perf_counter()
         return SearchResult(
             joinable=res.joinable_columns(),

@@ -1,8 +1,9 @@
 """Pivot selection and pivot mapping (§III-A, §III-D).
 
 Pivot mapping sends a vector ``x`` to ``x' = [d(p_1,x), …, d(p_n,x)]``
-for a pivot set ``P``. Lemmas 1 and 2 (triangle inequality) then filter
-and match vectors using only pivot-space coordinates.
+for a pivot set ``P``. Lemmas 1 and 2 (triangle inequality, in
+``core/regions.py``) then filter and match vectors using only
+pivot-space coordinates.
 
 Pivot selection follows the PCA-based method of Mao et al. [20] the
 paper adopts for its O(|S_V|) cost: good pivots are outliers, and the
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["select_pivots", "pivot_map", "lemma1_filter_mask", "lemma2_match_mask"]
+__all__ = ["select_pivots", "pivot_map"]
 
 
 def select_pivots(
@@ -56,20 +57,3 @@ def pivot_map(X: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
 
-
-def lemma1_filter_mask(Xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean mask of rows of ``Xp`` that *survive* Lemma 1.
-
-    Row x' survives iff |x'[j] - q'[j]| <= τ for every pivot j; rows
-    outside the square query region SQR(q', τ) provably do not match.
-    """
-    return np.all(np.abs(Xp - qp) <= tau, axis=1)
-
-
-def lemma2_match_mask(Xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean mask of rows guaranteed to match by Lemma 2.
-
-    Row x' matches for sure iff x'[j] + q'[j] <= τ for some pivot j
-    (i.e. x' lies in a rectangle query region RQR(q', p_j, τ)).
-    """
-    return np.any(Xp + qp <= tau, axis=1)

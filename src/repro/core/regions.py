@@ -1,83 +1,49 @@
-"""Query-region geometry: Lemmas 3–6 as cell-level predicates (§III-B).
+"""The pruning lemmas of §III as batched predicates in the pivot space.
 
-All predicates operate on axis-aligned boxes in the pivot space:
+Vector level (Lemmas 1/2), for mapped rows ``Xp`` and a mapped query q':
 
-- ``SQR(q', τ)`` is the box ``[q' - τ, q' + τ]`` (Lemma 1 region).
-- ``RQR(q', p_j, τ)`` is the box ``[0, τ - q'[j]]`` in dimension j and
-  unbounded elsewhere (Lemma 2 region; absent when ``τ - q'[j] < 0``).
+- ``SQR(q', τ)`` is the box ``[q' - τ, q' + τ]``: a row outside it is
+  farther than τ from q (Lemma 1);
+- ``RQR(q', p_j, τ)`` is ``x'[j] <= τ - q'[j]``: a row inside it for some
+  pivot j is within τ of q (Lemma 2).
 
-For a *query cell* ``c_q`` the square region is widened to
-``SQR(c_q.center, τ + c_q.length/2)``; for matching, the minimum RQR
-over all query vectors in ``c_q`` is bounded conservatively with the
-cell's own upper corner (``max_{q'∈c_q} q'[j] <= c_q.upper[j]``), which
-is sound (a sufficient condition) and needs no per-vector scan.
+Cell level (Lemmas 3–6), for target cells ``[lo, up]`` and a query box
+``[q_lo, q_up]`` — a query vector (``q_lo = q_up = q'``, Lemmas 3/5) or
+a query cell (Lemmas 4/6). ``SQR(c_q.center, τ + c_q.length/2)`` is
+exactly the box ``[q_lo - τ, q_up + τ]``; for matching, the query cell's
+upper corner bounds ``max_{q'∈c_q} q'[j]`` from above, which is sound (a
+sufficient condition) and needs no per-vector scan.
+
+Every predicate reduces over the last axis, so the inputs broadcast.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "boxes_disjoint",
-    "cell_filtered_by_vector",
-    "cell_matched_by_vector",
-    "cell_filtered_by_cell",
-    "cell_matched_by_cell",
-    "vectors_vs_cell",
-]
+__all__ = ["lemma1_filter_mask", "lemma2_match_mask", "box_filtered",
+           "box_matched"]
 
 
-def boxes_disjoint(
-    lo_a: np.ndarray, up_a: np.ndarray, lo_b: np.ndarray, up_b: np.ndarray
-) -> bool:
-    """True iff boxes [lo_a, up_a] and [lo_b, up_b] do not intersect."""
-    return bool(np.any(lo_a > up_b) or np.any(up_a < lo_b))
+def lemma1_filter_mask(Xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
+    """Lemma 1: mask of the rows of ``Xp`` that *survive*, i.e. lie in
+    SQR(q', τ): |x'[j] - q'[j]| <= τ for every pivot j."""
+    return np.all(np.abs(Xp - qp) <= tau, axis=-1)
 
 
-def cell_filtered_by_vector(
-    lo: np.ndarray, up: np.ndarray, qp: np.ndarray, tau: float
-) -> bool:
-    """Lemma 3: target cell [lo, up] ∩ SQR(q', τ) = ∅ → no vector matches."""
-    return boxes_disjoint(lo, up, qp - tau, qp + tau)
+def lemma2_match_mask(Xp: np.ndarray, qp: np.ndarray, tau: float) -> np.ndarray:
+    """Lemma 2: mask of the rows guaranteed to match, i.e. lying in some
+    RQR(q', p_j, τ): x'[j] + q'[j] <= τ for some pivot j."""
+    return np.any(Xp + qp <= tau, axis=-1)
 
 
-def cell_matched_by_vector(up: np.ndarray, qp: np.ndarray, tau: float) -> bool:
-    """Lemma 5: ∃ pivot j with up[j] <= τ - q'[j] → every vector matches."""
-    return bool(np.any(up <= tau - qp))
-
-
-def cell_filtered_by_cell(
-    lo: np.ndarray,
-    up: np.ndarray,
-    q_lo: np.ndarray,
-    q_up: np.ndarray,
+def box_filtered(
+    lo: np.ndarray, up: np.ndarray, q_lo: np.ndarray, q_up: np.ndarray,
     tau: float,
-) -> bool:
-    """Lemma 4: target cell vs query cell square region.
-
-    SQR(c_q.center, τ + c_q.length/2) is exactly the box
-    [q_lo - τ, q_up + τ], so the disjointness test uses the query cell's
-    corners directly.
-    """
-    return boxes_disjoint(lo, up, q_lo - tau, q_up + tau)
+) -> np.ndarray:
+    """Lemmas 3/4: the cell misses [q_lo - τ, q_up + τ] → no vector matches."""
+    return np.any((lo > q_up + tau) | (up < q_lo - tau), axis=-1)
 
 
-def cell_matched_by_cell(up: np.ndarray, q_up: np.ndarray, tau: float) -> bool:
-    """Lemma 6 (conservative): ∃ pivot j with up[j] <= τ - q_up[j].
-
-    Uses the query cell's upper corner as an upper bound on
-    ``max_{q'∈c_q} q'[j]``; sound, and exact when the cell is tight.
-    """
-    return bool(np.any(up <= tau - q_up))
-
-
-def vectors_vs_cell(
-    Qp_cell: np.ndarray, lo: np.ndarray, up: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Lemmas 3 and 5 for all query vectors of a leaf cell.
-
-    Returns ``(filtered, matched)`` boolean masks over the rows of
-    ``Qp_cell`` against the target leaf cell ``[lo, up]``.
-    """
-    filtered = np.any((lo > Qp_cell + tau) | (up < Qp_cell - tau), axis=1)
-    matched = np.any(up[None, :] <= tau - Qp_cell, axis=1)
-    return filtered, matched
+def box_matched(up: np.ndarray, q_up: np.ndarray, tau: float) -> np.ndarray:
+    """Lemmas 5/6: ∃ pivot j with up[j] <= τ - q_up[j] → every vector matches."""
+    return np.any(up <= tau - q_up, axis=-1)

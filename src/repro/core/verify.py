@@ -1,18 +1,28 @@
-"""Algorithm 2: inverted-index verification (§III-C), plus the naive
-cell-scan verification used by the PEXESO-H baseline (§VI-A).
+"""Algorithm 2: inverted-index verification (§III-C), and the naive
+cell-scan verification of the PEXESO-H baseline (§VI-A).
 
-For each query vector, matching-pair cells contribute guaranteed
-matches; candidate-pair cells are resolved column-at-a-time (DaaT):
-per-vector Lemma 1 filtering, Lemma 2 matching, and exact distance for
-the survivors. Two early terminations apply per column:
+Blocking gives each query vector q its matching cells (every vector in
+them matches q) and its candidate cells. One pass over the rows of those
+cells settles every column for q at once:
 
-- a column whose match count reaches ``T_abs`` is joinable — all of its
-  remaining vectors are skipped (paper §III-C, also given to baselines);
+- a column with a row in a matching cell gains a match;
+- every other column of the candidate cells gains a match if Lemma 2
+  guarantees one of its rows, else if one of its Lemma 1 survivors is
+  within τ by exact distance, and a mismatch otherwise.
+
+A column is visited at most once per query vector, so the two early
+terminations of the paper's column-at-a-time (DaaT) order apply between
+query vectors:
+
+- a column whose match count reaches ``T_abs`` is joinable, and all of
+  its remaining vectors are skipped (paper §III-C, also given to
+  baselines);
 - a column whose mismatch count exceeds ``|Q| - T_abs`` can never become
   joinable and is pruned (Lemma 7).
 
-The verifier also maintains the counters the paper reports: number of
-exact distance computations (Fig. 7a) and postings accesses.
+``naive=True`` is PEXESO-H: the same blocking, but every row of a
+candidate cell costs one exact distance and only the first rule applies
+(no inverted index, no Lemma 1/2/7).
 """
 from __future__ import annotations
 
@@ -20,10 +30,9 @@ import numpy as np
 
 from repro.core.block import BlockResult
 from repro.core.inverted import InvertedIndex
-from repro.core.grid import HierarchicalGrid
-from repro.core.pivots import lemma1_filter_mask, lemma2_match_mask
+from repro.core.regions import lemma1_filter_mask, lemma2_match_mask
 
-__all__ = ["VerifyResult", "verify", "verify_naive"]
+__all__ = ["VerifyResult", "verify"]
 
 
 class VerifyResult:
@@ -41,23 +50,6 @@ class VerifyResult:
         return set(self.joinable)
 
 
-def _exact_match_any(
-    X: np.ndarray, rows: np.ndarray, qv: np.ndarray, tau: float, res: VerifyResult
-) -> bool:
-    """Exact-distance check: does any row of ``X[rows]`` match ``qv``?
-
-    Distances are computed vectorized per (query, column) group; the
-    counter counts every evaluated pair (a slight overcount versus the
-    paper's one-at-a-time early break, in exchange for numpy speed).
-    """
-    if len(rows) == 0:
-        return False
-    diff = X[rows] - qv
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    res.n_distance += len(rows)
-    return bool(np.any(d2 <= tau * tau))
-
-
 def verify(
     blocks: BlockResult,
     index: InvertedIndex,
@@ -70,6 +62,7 @@ def verify(
     n_cols: int,
     *,
     early_terminate: bool = True,
+    naive: bool = False,
 ) -> VerifyResult:
     """Algorithm 2 over the blocking output; returns per-column counts.
 
@@ -78,104 +71,43 @@ def verify(
     that diff counts against the brute-force scan.
     """
     res = VerifyResult(n_cols)
-    n_q = len(Q)
-    prune_bound = n_q - T_abs  # Lemma 7: mismatch > bound → never joinable
-
-    for qi in range(n_q):
-        qv, qp = Q[qi], Qp[qi]
-        matched_cols: set[int] = set()
-
-        # Matching pairs: every vector in the cell matches q — the
-        # column gains one matched query vector, dedup'd per (q, col).
-        for coords in blocks.mpair.get(qi, ()):
-            for col, _rows in index.lookup(coords):
-                res.n_postings += 1
-                if col in matched_cols:
-                    continue
-                if early_terminate and (col in res.joinable or col in res.pruned):
-                    continue
-                matched_cols.add(col)
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
-
-        # Candidate pairs: group cells by column, then resolve DaaT.
-        col_rows: dict[int, list[np.ndarray]] = {}
-        for coords in blocks.cpair.get(qi, ()):
-            for col, rows in index.lookup(coords):
-                res.n_postings += 1
-                if col in matched_cols:
-                    continue
-                if early_terminate and (col in res.joinable or col in res.pruned):
-                    continue
-                col_rows.setdefault(col, []).append(rows)
-
-        for col in sorted(col_rows):  # DaaT: one column at a time
-            if early_terminate and (col in res.joinable or col in res.pruned):
-                continue
-            rows = np.concatenate(col_rows[col])
-            sub = Xp[rows]
-            if np.any(lemma2_match_mask(sub, qp, tau)):
-                got = True  # Lemma 2: guaranteed match, no distance
-            else:
-                survivors = rows[lemma1_filter_mask(sub, qp, tau)]
-                got = _exact_match_any(X, survivors, qv, tau, res)
-            if got:
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
-            else:
-                res.mismatch[col] += 1
-                if res.mismatch[col] > prune_bound:
-                    res.pruned.add(col)
-    if not early_terminate:
-        res.pruned.clear()
-        res.joinable = set(np.flatnonzero(res.match >= T_abs).tolist())
-    return res
-
-
-def verify_naive(
-    blocks: BlockResult,
-    hg_s: HierarchicalGrid,
-    col_of_vector: np.ndarray,
-    X: np.ndarray,
-    Q: np.ndarray,
-    tau: float,
-    T_abs: int,
-    n_cols: int,
-) -> VerifyResult:
-    """PEXESO-H verification: same blocking, no inverted index.
-
-    Every candidate ⟨q, cell⟩ computes the exact distance from q to every
-    vector in the cell (no Lemma 1/2 per-vector pruning, no Lemma 7);
-    only the reach-T early termination is kept, as in §VI-A.
-    """
-    res = VerifyResult(n_cols)
-    tau2 = tau * tau
+    prune_bound = len(Q) - T_abs  # Lemma 7: mismatch > bound → never joinable
+    skip = np.zeros(n_cols, dtype=bool)
     for qi in range(len(Q)):
-        qv = Q[qi]
-        matched_cols: set[int] = set()
-        for coords in blocks.mpair.get(qi, ()):
-            rows = hg_s.vectors_in_leaf(coords)
-            for col in set(col_of_vector[rows].tolist()):
-                if col in matched_cols or col in res.joinable:
-                    continue
-                matched_cols.add(col)
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
-        for coords in blocks.cpair.get(qi, ()):
-            rows = hg_s.vectors_in_leaf(coords)
-            if len(rows) == 0:
-                continue
-            diff = X[rows] - qv
-            d2 = np.einsum("ij,ij->i", diff, diff)
+        m_ids = index.leaf_ids(blocks.mpair.get(qi, ()))
+        c_ids = index.leaf_ids(blocks.cpair.get(qi, ()))
+        hit = np.zeros(n_cols, dtype=bool)  # columns gaining a match from q
+        hit[index.cols[index.gather(m_ids)]] = True
+        pos = index.gather(c_ids)
+        rows, cols = index.rows[pos], index.cols[pos]
+        if naive:
+            hit[cols[_within(X[rows], Q[qi], tau)]] = True
             res.n_distance += len(rows)
-            for col in set(col_of_vector[rows[d2 <= tau2]].tolist()):
-                if col in matched_cols or col in res.joinable:
-                    continue
-                matched_cols.add(col)
-                res.match[col] += 1
-                if res.match[col] >= T_abs:
-                    res.joinable.add(col)
+        else:
+            res.n_postings += int(index.leaf_postings[m_ids].sum()
+                                  + index.leaf_postings[c_ids].sum())
+            keep = ~(skip[cols] | hit[cols])  # drop settled columns' rows
+            rows, cols = rows[keep], cols[keep]
+            sub = Xp[rows]
+            got = np.zeros(n_cols, dtype=bool)
+            got[cols[lemma2_match_mask(sub, Qp[qi], tau)]] = True
+            rest = ~got[cols] & lemma1_filter_mask(sub, Qp[qi], tau)
+            res.n_distance += int(rest.sum())
+            got[cols[rest][_within(X[rows[rest]], Q[qi], tau)]] = True
+            seen = np.zeros(n_cols, dtype=bool)
+            seen[cols] = True
+            res.mismatch += seen & ~got
+            hit |= got
+        res.match += hit & ~skip
+        if early_terminate:
+            skip = (res.match >= T_abs) | (res.mismatch > prune_bound)
+    res.joinable = set(np.flatnonzero(res.match >= T_abs).tolist())
+    if early_terminate:
+        res.pruned = set(np.flatnonzero(res.mismatch > prune_bound).tolist())
     return res
+
+
+def _within(X: np.ndarray, qv: np.ndarray, tau: float) -> np.ndarray:
+    """Exact-distance mask of the rows of ``X`` within τ of ``qv``."""
+    diff = X - qv
+    return np.einsum("ij,ij->i", diff, diff) <= tau * tau

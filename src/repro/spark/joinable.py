@@ -76,7 +76,6 @@ def distributed_search(
     *,
     n_pivots: int = 5,
     m: int = 4,
-    use_inverted: bool = True,
 ) -> DataFrame:
     """Search every partition with its own PEXESO; return joinable columns.
 
@@ -95,7 +94,7 @@ def distributed_search(
         engine = PexesoIndex(
             X, col_of_vector, len(cols), n_pivots=n_pivots, m=m
         )
-        res = engine.search(Q, tau, T, use_inverted=use_inverted)
+        res = engine.search(Q, tau, T)
         hit = sorted(res.joinable)
         return pd.DataFrame(
             {

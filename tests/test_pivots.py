@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pivots import (
-    lemma1_filter_mask,
-    lemma2_match_mask,
-    pivot_map,
-    select_pivots,
-)
+from repro.core.pivots import pivot_map, select_pivots
+from repro.core.regions import lemma1_filter_mask, lemma2_match_mask
 from tests.conftest import unit_rows
 
 

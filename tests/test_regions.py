@@ -1,4 +1,4 @@
-"""Tests for the Lemma 3–6 cell predicates."""
+"""Tests for the batched Lemma 3–6 cell predicates."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,15 +7,17 @@ from repro.core import regions
 
 
 def test_boxes_disjoint_basic():
+    """At τ = 0 the filter is plain box disjointness, one answer per row."""
     lo_a, up_a = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-    assert regions.boxes_disjoint(lo_a, up_a, np.array([1.1, 0.0]), np.array([2.0, 1.0]))
-    assert not regions.boxes_disjoint(lo_a, up_a, np.array([0.5, 0.5]), np.array([2.0, 2.0]))
+    q_lo = np.array([[1.1, 0.0], [0.5, 0.5]])
+    q_up = np.array([[2.0, 1.0], [2.0, 2.0]])
+    assert regions.box_filtered(lo_a, up_a, q_lo, q_up, 0.0).tolist() == [True, False]
 
 
 def test_touching_boxes_not_disjoint():
     a = (np.array([0.0]), np.array([1.0]))
     b = (np.array([1.0]), np.array([2.0]))
-    assert not regions.boxes_disjoint(*a, *b)
+    assert not regions.box_filtered(*a, *b, 0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -26,7 +28,7 @@ def test_lemma3_sound(seed, tau):
     lo = g.uniform(0, 1.5, 3)
     up = lo + g.uniform(0.05, 0.5, 3)
     qp = g.uniform(0, 2, 3)
-    if regions.cell_filtered_by_vector(lo, up, qp, tau):
+    if regions.box_filtered(lo, up, qp, qp, tau):
         # Every point in the cell is Chebyshev-farther than τ from q'.
         pts = g.uniform(lo, up, (50, 3))
         assert np.all(np.max(np.abs(pts - qp), axis=1) > tau)
@@ -40,7 +42,7 @@ def test_lemma5_sound(seed, tau):
     lo = g.uniform(0, 1.0, 3)
     up = lo + g.uniform(0.05, 0.3, 3)
     qp = g.uniform(0, 0.5, 3)
-    if regions.cell_matched_by_vector(up, qp, tau):
+    if regions.box_matched(up, qp, tau):
         pts = g.uniform(lo, up, (50, 3))
         assert np.all(np.min(pts + qp, axis=1) <= tau + 1e-12)
 
@@ -54,7 +56,7 @@ def test_lemma4_sound(seed, tau):
     q_up = q_lo + g.uniform(0.05, 0.4, 2)
     s_lo = g.uniform(0, 1.5, 2)
     s_up = s_lo + g.uniform(0.05, 0.4, 2)
-    if regions.cell_filtered_by_cell(s_lo, s_up, q_lo, q_up, tau):
+    if regions.box_filtered(s_lo, s_up, q_lo, q_up, tau):
         qs = g.uniform(q_lo, q_up, (20, 2))
         xs = g.uniform(s_lo, s_up, (20, 2))
         cheb = np.max(np.abs(qs[:, None, :] - xs[None, :, :]), axis=2)
@@ -70,7 +72,7 @@ def test_lemma6_sound(seed, tau):
     q_up = q_lo + g.uniform(0.02, 0.2, 2)
     s_lo = g.uniform(0, 0.4, 2)
     s_up = s_lo + g.uniform(0.02, 0.2, 2)
-    if regions.cell_matched_by_cell(s_up, q_up, tau):
+    if regions.box_matched(s_up, q_up, tau):
         qs = g.uniform(q_lo, q_up, (20, 2))
         xs = g.uniform(s_lo, s_up, (20, 2))
         sums = qs[:, None, :] + xs[None, :, :]
@@ -78,14 +80,17 @@ def test_lemma6_sound(seed, tau):
 
 
 def test_vectors_vs_cell_consistency():
+    """One batched call over 30 query vectors equals 30 single calls."""
     g = np.random.default_rng(1)
     Qp = g.uniform(0, 2, (30, 3))
     lo = np.array([0.4, 0.4, 0.4])
     up = np.array([0.9, 0.9, 0.9])
     tau = 0.3
-    filtered, matched = regions.vectors_vs_cell(Qp, lo, up, tau)
+    filtered = regions.box_filtered(lo, up, Qp, Qp, tau)
+    matched = regions.box_matched(up, Qp, tau)
+    assert filtered.shape == matched.shape == (30,)
     for i in range(30):
-        assert filtered[i] == regions.cell_filtered_by_vector(lo, up, Qp[i], tau)
-        assert matched[i] == regions.cell_matched_by_vector(up, Qp[i], tau)
+        assert filtered[i] == regions.box_filtered(lo, up, Qp[i], Qp[i], tau)
+        assert matched[i] == regions.box_matched(up, Qp[i], tau)
     # A cell can never be both filtered and matched.
     assert not np.any(filtered & matched)

@@ -51,22 +51,6 @@ def test_distributed_equals_single_node(repo_parts, tiny_lake, tau, T):
     assert got == {uniq[i] for i in truth_idx}
 
 
-def test_distributed_pexeso_h_same_answer(repo_parts, tiny_lake):
-    a = {
-        r["col_id"]
-        for r in distributed_search(
-            repo_parts, tiny_lake.query_vectors, 0.4, 0.4, m=3
-        ).collect()
-    }
-    b = {
-        r["col_id"]
-        for r in distributed_search(
-            repo_parts, tiny_lake.query_vectors, 0.4, 0.4, m=3, use_inverted=False
-        ).collect()
-    }
-    assert a == b
-
-
 def test_joinability_threshold_enforced(repo_parts, tiny_lake):
     out = distributed_search(repo_parts, tiny_lake.query_vectors, 0.4, 0.5, m=3)
     assert out.where(F.col("joinability") < 0.5 - 1e-9).count() == 0
