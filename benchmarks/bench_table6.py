@@ -2,9 +2,12 @@
 import pytest
 
 from repro.core.pexeso import PexesoIndex
-from repro.experiments.common import lake_arrays, tau_abs
+from repro.experiments.common import lake_arrays
+from repro.experiments.table6 import DEFAULT_TAU
 
-TAU = tau_abs(0.06)
+#: Table VI's raw τ = 6 % of the max distance (0.12), not the ×4
+#: quality calibration of ``tau_abs``.
+TAU = DEFAULT_TAU
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,12 @@ import pytest
 from repro.baselines.cover_tree import BallTree, ctree_search
 from repro.baselines.ept import PivotTable, ept_search
 from repro.core.pexeso import PexesoIndex, t_abs
-from repro.experiments.common import lake_arrays, tau_abs
+from repro.embedding.hashing import MAX_DISTANCE
+from repro.experiments.common import DEFAULT_TAU_PCT, lake_arrays
 
-TAU = tau_abs(0.06)
+#: Table VII's raw τ = 6 % of the max distance (0.12), not the ×4
+#: quality calibration of ``tau_abs``.
+TAU = DEFAULT_TAU_PCT * MAX_DISTANCE
 T = 0.6
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.exact_scan import ReachTCounter
+
 __all__ = ["BallTree", "ctree_search"]
 
 _LEAF = 32
@@ -77,15 +79,9 @@ def ctree_search(
 
     Returns (joinable column set, number of distance computations).
     """
-    counts = np.zeros(n_cols, dtype=np.int64)
-    joinable: set[int] = set()
+    reach = ReachTCounter(n_cols, T_abs)
     counter = [0]
     for q in Q:
         hits = tree.range_query(q, tau, counter)
-        for col in np.unique(col_of_vector[hits]).tolist():
-            if col in joinable:
-                continue  # early termination: column already joinable
-            counts[col] += 1
-            if counts[col] >= T_abs:
-                joinable.add(col)
-    return joinable, counter[0]
+        reach.add(np.unique(col_of_vector[hits]).tolist())
+    return reach.joinable, counter[0]

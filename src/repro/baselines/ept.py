@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.exact_scan import ReachTCounter
 from repro.core.pivots import pivot_map, select_pivots
 
 __all__ = ["PivotTable", "ept_search"]
@@ -55,8 +56,7 @@ def ept_search(
     vectors, exact-distance the survivors, count one match per
     (q, column); columns that reach T are skipped thereafter.
     """
-    counts = np.zeros(n_cols, dtype=np.int64)
-    joinable: set[int] = set()
+    reach = ReachTCounter(n_cols, T_abs)
     n_dist = 0
     col_rows = {
         int(c): np.flatnonzero(col_of_vector == c) for c in np.unique(col_of_vector)
@@ -64,8 +64,9 @@ def ept_search(
     Qp = pivot_map(Q, table.pivots)
     for qi in range(len(Q)):
         q, qp = Q[qi], Qp[qi]
+        hits = []
         for col, rows in col_rows.items():
-            if col in joinable:
+            if col in reach.joinable:
                 continue  # early termination
             sub = rows[np.all(np.abs(table.Xp[rows] - qp) <= tau, axis=1)]
             if len(sub) == 0:
@@ -73,7 +74,6 @@ def ept_search(
             d = np.linalg.norm(table.X[sub] - q, axis=1)
             n_dist += len(sub)
             if np.any(d <= tau):
-                counts[col] += 1
-                if counts[col] >= T_abs:
-                    joinable.add(col)
-    return joinable, n_dist
+                hits.append(col)
+        reach.add(hits)
+    return reach.joinable, n_dist

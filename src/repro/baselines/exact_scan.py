@@ -3,12 +3,15 @@
 Computes every query-target distance (``|Q| · |S_V|`` evaluations) and
 the exact per-column match counts. All other methods must agree with
 this on joinable sets (PEXESO, CTREE, EPT exactly; PQ approximately).
+
+``ReachTCounter`` is the per-column match counter with the reach-T early
+termination that the CTREE and EPT baselines share.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["match_counts", "joinable_columns"]
+__all__ = ["match_counts", "joinable_columns", "ReachTCounter"]
 
 
 def match_counts(
@@ -36,3 +39,21 @@ def joinable_columns(
     """Exact joinable column set at absolute threshold ``T_abs``."""
     counts = match_counts(Q, X, col_of_vector, n_cols, tau)
     return set(np.flatnonzero(counts >= T_abs).tolist())
+
+
+class ReachTCounter:
+    """One match per (query vector, column); a column whose count reaches
+    ``T_abs`` is joinable, and searchers skip it from then on."""
+
+    def __init__(self, n_cols: int, T_abs: int) -> None:
+        self.counts = np.zeros(n_cols, dtype=np.int64)
+        self.T_abs = T_abs
+        self.joinable: set[int] = set()
+
+    def add(self, cols: list[int]) -> None:
+        """Count the distinct columns one query vector matched."""
+        for col in cols:
+            if col not in self.joinable:
+                self.counts[col] += 1
+                if self.counts[col] >= self.T_abs:
+                    self.joinable.add(col)

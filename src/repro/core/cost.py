@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import block as blockmod
-from repro.core.grid import DOMAIN, HierarchicalGrid
+from repro.core.grid import HierarchicalGrid
 from repro.core.pivots import pivot_map, select_pivots
 
 __all__ = ["n_max_sqr", "expected_cost", "optimal_m"]
@@ -57,21 +57,20 @@ def expected_cost(
     Blocking is run for real (cheap — §VI-D shows it is negligible);
     verification cost is *estimated*, per the paper's §III-E procedure.
     """
-    hg_s = HierarchicalGrid(Xp, m)
-    hg_q = HierarchicalGrid(Qp, m)
-    blocks = blockmod.block(hg_q, hg_s, Qp, tau)
-    slack = (DOMAIN / (1 << m)) / 2.0
-    sorted_dims = [np.sort(Xp[:, i]) for i in range(Xp.shape[1])]
-    e = 0.0
-    n_pairs = 0
-    for qi, cells in blocks.cpair.items():
-        if cells:
-            # One N_max term per query vector: its candidate cells are
-            # exactly the leaf cells its SQR touches, so the widened
-            # marginal bound already covers all of them together.
-            e += n_max_sqr(sorted_dims, Qp[qi], tau, slack)
-        n_pairs += len(cells)
-    return e + alpha * n_pairs
+    sorted_dims = [np.sort(col) for col in Xp.T]
+    return _cost(HierarchicalGrid(Xp, m), sorted_dims, Qp, tau, alpha)
+
+
+def _cost(hg_s: HierarchicalGrid, sorted_dims: list[np.ndarray],
+          Qp: np.ndarray, tau: float, alpha: float) -> float:
+    blocks = blockmod.block(HierarchicalGrid(Qp, hg_s.m), hg_s, Qp, tau)
+    slack = hg_s.side(hg_s.m) / 2.0
+    # One N_max term per query vector with a candidate: its candidate
+    # cells are exactly the leaf cells its SQR touches, so the widened
+    # marginal bound already covers all of them together.
+    e = sum(n_max_sqr(sorted_dims, Qp[qi], tau, slack)
+            for qi in np.unique(blocks.cand_q).tolist())
+    return e + alpha * blocks.n_candidates()
 
 
 def optimal_m(
@@ -85,16 +84,17 @@ def optimal_m(
 ) -> tuple[int, dict[int, float]]:
     """Pick m minimizing the modeled cost over a (Q, τ) workload.
 
-    Returns ``(best_m, {m: total modeled cost})``.
+    Returns ``(best_m, {m: total modeled cost})``. ``HG_SV`` is built once
+    per m and the marginals once, shared by every workload query.
     """
     pivots = select_pivots(X, n_pivots, seed=seed)
     Xp = pivot_map(X, pivots)
+    sorted_dims = [np.sort(col) for col in Xp.T]
+    mapped = [(pivot_map(Q, pivots), tau) for Q, tau in workload]
     costs: dict[int, float] = {}
     for m in range(1, m_max + 1):
-        total = 0.0
-        for Q, tau in workload:
-            Qp = pivot_map(Q, pivots)
-            total += expected_cost(Xp, Qp, m, tau, alpha=alpha)
-        costs[m] = total
+        hg_s = HierarchicalGrid(Xp, m)
+        costs[m] = sum(_cost(hg_s, sorted_dims, Qp, tau, alpha)
+                       for Qp, tau in mapped)
     best = min(costs, key=costs.get)
     return best, costs

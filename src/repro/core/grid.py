@@ -1,17 +1,32 @@
-"""Hierarchical grids over the pivot space (§III-B).
+"""Hierarchical grids over the pivot space (§III-B), as flat arrays.
 
 The pivot space is the hyper-cube ``[0, DOMAIN]^{|P|}`` (DOMAIN = 2 for
-unit-normalized vectors under Euclidean distance). Level ``i`` of an
-``m``-level grid splits each dimension into ``2^i`` equal parts, giving
-``2^{|P|·i}`` cells; only non-empty cells are materialized. A cell is
-identified by ``(level, coords)`` where ``coords`` is the integer tuple
-of per-dimension indices; the parent of a cell halves each coordinate.
+unit-normalized vectors under Euclidean distance). Level ``l`` of an
+``m``-level grid splits each dimension into ``2^l`` equal parts, giving
+``2^{|P|·l}`` cells; only non-empty cells are materialized. A cell's
+coordinates are its integer per-dimension indices; the parent of a cell
+halves each coordinate (``coords >> 1``). Level 0 is the root.
 
-``HierarchicalGrid`` stores, per leaf cell, the indices of the vectors
-it contains, and the child links needed by the dual descent of
-Algorithm 1.
+``HierarchicalGrid`` sorts its vectors once into *hierarchical order*:
+one ``lexsort`` over ``m`` per-level digits, where the level-``l`` digit
+packs bit ``m-l`` of every leaf coordinate (one bit per pivot, so a
+digit stays below ``2^|P|`` and no packed key can overflow). In that order every cell at every level is one
+contiguous run of vectors, and the runs of level ``l+1`` nest inside
+those of level ``l``. Per level, cells are numbered in that order and
+the grid keeps, as arrays indexed by cell:
+
+- ``starts[l]``: the start of each cell's run in ``order`` (plus a final
+  ``n``), so cell ``c`` holds ``order[starts[l][c]:starts[l][c+1]]``;
+- ``coords[l]``: the cell coordinates;
+- ``first_child[l]``: the cell's children are the level-``l+1`` cells
+  ``first_child[l][c]`` up to ``first_child[l][c+1]``;
+- ``first_leaf[l]``: the same for the cell's leaf (level-``m``) cells.
 """
 from __future__ import annotations
+
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -30,69 +45,45 @@ class HierarchicalGrid:
         if m < 1:
             raise ValueError("grid needs at least one level")
         self.m = m
-        self.dims = Xp.shape[1]
-        self.n = Xp.shape[0]
-        side = DOMAIN / (1 << m)
+        self.n, self.dims = Xp.shape
         # Leaf coordinates per vector; clip handles x == DOMAIN exactly.
-        coords = np.floor(Xp / side).astype(np.int64)
-        np.clip(coords, 0, (1 << m) - 1, out=coords)
-        self.leaf_of_vector = coords  # (n, dims) int
+        leaf = np.floor(Xp / self.side(m)).astype(np.int64)
+        np.clip(leaf, 0, (1 << m) - 1, out=leaf)
+        weights = 1 << np.arange(self.dims, dtype=np.int64)
+        digits = [((leaf >> (m - l)) & 1) @ weights for l in range(1, m + 1)]
+        # lexsort's last key is the primary one: level 1's digit.
+        self.order = np.lexsort(digits[::-1])
+        leaf = leaf[self.order]
 
-        # leaf cell -> np.ndarray of vector indices
-        leaves: dict[Coords, list[int]] = {}
-        for i, c in enumerate(map(tuple, coords.tolist())):
-            leaves.setdefault(c, []).append(i)
-        self.leaves: dict[Coords, np.ndarray] = {
-            c: np.asarray(v, dtype=np.int64) for c, v in leaves.items()
-        }
-
-        # children[(level, coords)] -> sorted list of child coords at level+1.
-        # Level 0 is the root cell with coords (0,)*dims.
-        self.children: dict[tuple[int, Coords], list[Coords]] = {}
-        current = set(self.leaves.keys())
-        for level in range(m, 0, -1):
-            parents: dict[Coords, set[Coords]] = {}
-            for c in current:
-                parents.setdefault(tuple(x >> 1 for x in c), set()).add(c)
-            for p, kids in parents.items():
-                self.children[(level - 1, p)] = sorted(kids)
-            current = set(parents.keys())
+        new = np.zeros(self.n, dtype=bool)
+        new[:1] = True
+        self.starts = [np.array([0, self.n] if self.n else [0])]
+        for d in digits:
+            d = d[self.order]
+            new[1:] |= d[1:] != d[:-1]
+            self.starts.append(np.append(np.flatnonzero(new), self.n))
+        self.coords = [leaf[s[:-1]] >> (m - l) for l, s in enumerate(self.starts)]
+        self.first_child = [np.searchsorted(self.starts[l + 1], s)
+                            for l, s in enumerate(self.starts[:-1])]
+        self.first_leaf = [np.searchsorted(self.starts[m], s) for s in self.starts]
 
     # -- geometry --------------------------------------------------------
     def side(self, level: int) -> float:
         """Edge length of a cell at ``level``."""
         return DOMAIN / (1 << level)
 
-    def bounds(self, level: int, coords: Coords) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) corner arrays of the cell."""
-        s = self.side(level)
-        lo = np.asarray(coords, dtype=np.float64) * s
-        return lo, lo + s
-
-    def root(self) -> Coords:
-        return (0,) * self.dims
-
-    def child_cells(self, level: int, coords: Coords) -> list[Coords]:
-        """Non-empty children of ``(level, coords)`` (empty list at m)."""
-        return self.children.get((level, coords), [])
-
-    def vectors_in_leaf(self, coords: Coords) -> np.ndarray:
-        return self.leaves.get(coords, np.empty(0, dtype=np.int64))
-
-    def descendant_leaves(self, level: int, coords: Coords) -> list[Coords]:
-        """All non-empty leaf cells under ``(level, coords)``."""
-        if level == self.m:
-            return [coords] if coords in self.leaves else []
-        out: list[Coords] = []
-        stack = [(level, coords)]
-        while stack:
-            lvl, c = stack.pop()
-            if lvl == self.m:
-                out.append(c)
-            else:
-                stack.extend((lvl + 1, k) for k in self.child_cells(lvl, c))
-        return out
+    def n_level(self, level: int) -> int:
+        """Number of non-empty cells at ``level``."""
+        return len(self.starts[level]) - 1
 
     def n_cells(self) -> int:
         """Total number of materialized cells across all levels."""
-        return len(self.leaves) + len(self.children)
+        return sum(self.n_level(l) for l in range(self.m + 1))
+
+    @cached_property
+    def leaves(self) -> Mapping[Coords, np.ndarray]:
+        """Leaf coordinates → vector indices, for inspection (search uses
+        the arrays)."""
+        runs = np.split(self.order, self.starts[self.m][1:-1])
+        keys = map(tuple, self.coords[self.m].tolist())
+        return MappingProxyType(dict(zip(keys, runs)))

@@ -1,15 +1,15 @@
 """Inverted index over the leaf cells of ``HG_SV`` (§III-C), as flat arrays.
 
-The target rows are sorted by (leaf-cell coordinates, column) with one
-``lexsort``, CSR style: leaf ``i`` owns ``rows[offsets[i]:offsets[i+1]]``,
-and within a leaf the rows are grouped by column id. A postings list in
-the paper's sense is one (leaf, column) run of that order.
+The index reuses the grid's leaf order: leaf ``i`` owns
+``rows[offsets[i]:offsets[i+1]]`` (CSR style), the grid's run of that
+leaf re-sorted by column id. A postings list in the paper's sense is one
+(leaf, column) run of that order.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.grid import Coords, HierarchicalGrid
+from repro.core.grid import HierarchicalGrid
 
 __all__ = ["InvertedIndex"]
 
@@ -19,26 +19,19 @@ class InvertedIndex:
 
     def __init__(self, hg: HierarchicalGrid, col_of_vector: np.ndarray) -> None:
         """``col_of_vector[i]`` is the integer column index of vector i."""
-        # lexsort's last key is the primary one: leaf coords, then column.
-        order = np.lexsort((col_of_vector, *hg.leaf_of_vector.T[::-1]))
-        leaf = hg.leaf_of_vector[order]
-        self.rows = order
-        self.cols = np.asarray(col_of_vector)[order]
-        new_leaf = np.ones(len(order), dtype=bool)
-        new_leaf[1:] = np.any(leaf[1:] != leaf[:-1], axis=1)
-        new_posting = new_leaf.copy()
-        new_posting[1:] |= self.cols[1:] != self.cols[:-1]
-        starts = np.flatnonzero(new_leaf)
-        self.offsets = np.append(starts, len(order))
-        self.leaf_id: dict[Coords, int] = dict(
-            zip(map(tuple, leaf[starts].tolist()), range(len(starts)))
-        )
+        self.offsets = hg.starts[hg.m]
+        starts = self.offsets[:-1]
+        leaf = np.repeat(np.arange(len(starts)), np.diff(self.offsets))
+        cols = np.asarray(col_of_vector)[hg.order]
+        # lexsort's last key is the primary one: leaf, then column.
+        order = np.lexsort((cols, leaf))
+        self.rows = hg.order[order]
+        self.cols = cols[order]
+        new_posting = np.ones(len(order), dtype=bool)
+        new_posting[1:] = self.cols[1:] != self.cols[:-1]
+        new_posting[starts] = True
         #: Number of (leaf, column) postings lists in each leaf.
         self.leaf_postings = np.add.reduceat(new_posting.astype(np.int64), starts)
-
-    def leaf_ids(self, cells: list[Coords]) -> np.ndarray:
-        """Ids of the (non-empty) leaf cells ``cells``."""
-        return np.fromiter((self.leaf_id[c] for c in cells), np.int64, len(cells))
 
     def gather(self, ids: np.ndarray) -> np.ndarray:
         """Positions in ``rows``/``cols`` of every row of the leaves ``ids``."""

@@ -73,9 +73,12 @@ def verify(
     res = VerifyResult(n_cols)
     prune_bound = len(Q) - T_abs  # Lemma 7: mismatch > bound → never joinable
     skip = np.zeros(n_cols, dtype=bool)
+    # Query vector qi's leaf ids are the slice [at[qi], at[qi + 1]).
+    m_at = np.searchsorted(blocks.match_q, np.arange(len(Q) + 1))
+    c_at = np.searchsorted(blocks.cand_q, np.arange(len(Q) + 1))
     for qi in range(len(Q)):
-        m_ids = index.leaf_ids(blocks.mpair.get(qi, ()))
-        c_ids = index.leaf_ids(blocks.cpair.get(qi, ()))
+        m_ids = blocks.match_leaf[m_at[qi]:m_at[qi + 1]]
+        c_ids = blocks.cand_leaf[c_at[qi]:c_at[qi + 1]]
         hit = np.zeros(n_cols, dtype=bool)  # columns gaining a match from q
         hit[index.cols[index.gather(m_ids)]] = True
         pos = index.gather(c_ids)

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import exact_scan
 from repro.core import block as blockmod
 from repro.core import verify as verifymod
-from repro.core.grid import HierarchicalGrid
+from repro.core.grid import DOMAIN, HierarchicalGrid
 from repro.core.pexeso import PexesoIndex, t_abs
 from repro.core.pivots import pivot_map
 from repro.core.regions import lemma1_filter_mask, lemma2_match_mask
@@ -26,21 +26,34 @@ def _blocks(engine, Q, tau):
     return Qp, blockmod.block(HierarchicalGrid(Qp, engine.m), engine.grid, Qp, tau)
 
 
+def _leaf_coords(e):
+    """Leaf coordinates of every target row, from the mapped vectors."""
+    side = DOMAIN / (1 << e.m)
+    return np.clip(np.floor(e.Xp / side).astype(np.int64), 0, (1 << e.m) - 1)
+
+
+def _leaf_rows(e, leaf):
+    """Rows of leaf ``leaf`` in the grid's own order."""
+    s = e.grid.starts[e.m]
+    return e.grid.order[s[leaf]:s[leaf + 1]]
+
+
 def test_every_row_once_and_column_sorted_within_leaf(engine):
     _, col, e = engine
     idx = e.index
     assert np.array_equal(np.sort(idx.rows), np.arange(len(e.X)))
     assert np.array_equal(idx.cols, col[idx.rows])
-    assert idx.leaf_id.keys() == e.grid.leaves.keys()
-    for coords, i in idx.leaf_id.items():
+    assert len(idx.offsets) == e.grid.n_level(e.m) + 1
+    coords = _leaf_coords(e)
+    for i, cell in enumerate(e.grid.coords[e.m]):
         lo, hi = idx.offsets[i], idx.offsets[i + 1]
-        assert set(idx.rows[lo:hi].tolist()) == set(e.grid.leaves[coords].tolist())
+        assert np.all(coords[idx.rows[lo:hi]] == cell)
         assert np.all(np.diff(idx.cols[lo:hi]) >= 0)
 
 
 def test_n_postings_counts_distinct_leaf_column_pairs(engine):
     _, col, e = engine
-    pairs = {(tuple(c), k) for c, k in zip(e.grid.leaf_of_vector.tolist(), col)}
+    pairs = {(tuple(c), k) for c, k in zip(_leaf_coords(e).tolist(), col)}
     assert e.index.n_postings() == len(pairs)
 
 
@@ -71,8 +84,7 @@ def test_some_column_is_pruned(engine):
 def test_pexeso_h_distances_equal_candidate_cell_rows(engine, tau):
     Q, _, e = engine
     _, blocks = _blocks(e, Q, tau)
-    rows = sum(len(e.grid.vectors_in_leaf(c))
-               for cells in blocks.cpair.values() for c in cells)
+    rows = sum(len(_leaf_rows(e, leaf)) for leaf in blocks.cand_leaf)
     assert e.search(Q, tau, 0.5, use_inverted=False).n_distance == rows
 
 
@@ -86,11 +98,11 @@ def _daat_reference(e, col, blocks, Q, Qp, tau, Ta, early_terminate):
         done = set()
         if early_terminate:
             done = set(np.flatnonzero((match >= Ta) | (mismatch > len(Q) - Ta)))
-        matched = {int(col[r]) for cell in blocks.mpair.get(qi, ())
-                   for r in e.grid.leaves[cell]} - done
+        matched = {int(col[r]) for leaf in blocks.match_leaf[blocks.match_q == qi]
+                   for r in _leaf_rows(e, leaf)} - done
         rows_of = defaultdict(list)
-        for cell in blocks.cpair.get(qi, ()):
-            for r in e.grid.leaves[cell]:
+        for leaf in blocks.cand_leaf[blocks.cand_q == qi]:
+            for r in _leaf_rows(e, leaf):
                 if col[r] not in matched and col[r] not in done:
                     rows_of[int(col[r])].append(r)
         for c, rows in rows_of.items():
